@@ -39,20 +39,21 @@ test:
 # Each benchmark runs five times and benchjson records the per-metric median,
 # so the committed BENCH_sim.json baseline is median-of-five — directly
 # comparable to the median-of-five gate runs and robust to scheduler noise on
-# loaded hosts.
+# loaded hosts. bench and bench-gate run this one command list.
+BENCH_CMDS = ( go test -run='^$$' -bench='BenchmarkEngine' -benchmem \
+		-benchtime=300ms -count=5 ./internal/sim && \
+	go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
+	go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
+	go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
+		./internal/fleet && \
+	go test -run='^$$' -bench='BenchmarkFleetScale' -benchtime=3x -count=5 \
+		./internal/fleet && \
+	go test -run='^$$' -bench='BenchmarkFleetTelemetry' -benchtime=200ms \
+		-count=5 ./internal/fleet )
+
 .PHONY: bench
 bench:
-	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
-		-count=5 ./internal/sim && \
-	  go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
-		./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetScale' -benchtime=3x -count=5 \
-		./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetTelemetry' -benchtime=200ms \
-		-count=5 ./internal/fleet ) \
-		| go run ./cmd/benchjson -out BENCH_sim.json
+	$(BENCH_CMDS) | go run ./cmd/benchjson -out BENCH_sim.json
 
 # Statistical perf-regression gate: run the hot-path microbenchmarks five
 # times and compare the distributions against the committed BENCH_sim.json
@@ -63,17 +64,7 @@ bench:
 # whole-suite parallel-efficiency collapse fails bench-gate too.
 .PHONY: bench-gate
 bench-gate:
-	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
-		-count=5 ./internal/sim && \
-	  go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
-		./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetScale' -benchtime=3x -count=5 \
-		./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetTelemetry' -benchtime=200ms \
-		-count=5 ./internal/fleet ) \
-		| tee bench-gate.txt
+	$(BENCH_CMDS) | tee bench-gate.txt
 	go run ./cmd/benchdiff -threshold 0.10 BENCH_sim.json bench-gate.txt
 	go run ./cmd/benchjson -out /dev/null -scaling-min auto < bench-gate.txt > /dev/null
 

@@ -62,8 +62,8 @@ func BenchmarkEngineStepNaive(b *testing.B) {
 }
 
 // BenchmarkEngineTimerHeavy drives self-rescheduling timers that each also
-// arm-and-cancel a decoy, exercising lazy cancellation, compaction, and the
-// node free list under fire.
+// arm-and-cancel a decoy, exercising eager cancellation and the node free
+// list under fire.
 func BenchmarkEngineTimerHeavy(b *testing.B) {
 	e := NewEngine(4, nil)
 	nop := func() {}
@@ -80,8 +80,8 @@ func BenchmarkEngineTimerHeavy(b *testing.B) {
 }
 
 // BenchmarkEngineBlockUnblockHeavy alternates STW-style block/unblock waves
-// over a worker pool — the transition-heavy path where orphaned completion
-// entries accumulate and must be compacted.
+// over a worker pool — the transition-heavy path where every block removes a
+// completion entry and every unblock pushes one.
 func BenchmarkEngineBlockUnblockHeavy(b *testing.B) {
 	const workers = 64
 	e := NewEngine(8, nil)

@@ -16,10 +16,8 @@ import "math"
 
 // NextEventAt returns the virtual time of the engine's next event — the
 // earliest quantum completion or live timer — without advancing anything. It
-// reports false when the engine is quiescent. Stale completion entries and
-// cancelled timers surfacing at their heap tops are discarded, exactly as
-// Step would discard them, so the peek is allocation-free and does not
-// perturb the subsequent step.
+// reports false when the engine is quiescent. Both queues hold only live
+// entries, so the peek reads their tops and changes nothing.
 func (e *Engine) NextEventAt() (float64, bool) {
 	run := e.runCount
 	if e.naive {
@@ -53,19 +51,7 @@ func (e *Engine) NextEventAt() (float64, bool) {
 			}
 		}
 	} else {
-		for e.comp.len() > 0 {
-			top := e.comp.peek()
-			if top.epoch != top.t.epoch {
-				e.comp.pop()
-				e.staleComp--
-				continue
-			}
-			dt = (top.finishS - e.vs) / rate
-			break
-		}
-	}
-	if math.IsInf(dt, 1) {
-		panic("sim: runnable threads without completion entries")
+		dt = (e.comp.peek().key - e.vs) / rate
 	}
 	if at, ok := e.nextTimerAt(); ok {
 		if d := at - e.now; d < dt {
@@ -78,25 +64,6 @@ func (e *Engine) NextEventAt() (float64, bool) {
 	return e.now + dt, true
 }
 
-// clusterEntry is the event-heap entry for one engine: the engine's next
-// event as of generation gen. An entry whose gen lags the engine's current
-// generation is stale — superseded by a fresher push — and is discarded when
-// it surfaces at the top, exactly like the timer queue's lazy cancellation.
-// The key is (time, index), so exact-time ties resolve to the lowest engine
-// index, matching the linear reference scan.
-type clusterEntry struct {
-	at  float64
-	idx int32
-	gen uint64
-}
-
-func (a clusterEntry) lessThan(b clusterEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.idx < b.idx
-}
-
 // Cluster interleaves the steps of several independent engines in global
 // virtual-time order. All engines advance on one logical clock: Step always
 // steps the engine whose next event is earliest (ties broken by lowest
@@ -104,25 +71,22 @@ func (a clusterEntry) lessThan(b clusterEntry) bool {
 // non-decreasing order. Engines may still be driven directly between cluster
 // steps (scheduling timers, injecting work, reading clocks).
 //
-// NewCluster maintains a min-heap of (next-event time, engine index) entries
-// so Peek costs O(log N) amortized instead of the reference scan's O(N):
-// every engine state change bumps the engine's generation counter and marks
-// it dirty in its cluster, Peek re-derives dirty engines' entries before
-// reading the top, and entries stamped with an older generation are popped
-// as stale when they surface (or swept in bulk once they outnumber live
-// ones). An engine that went quiescent carries no entry; the dirty mark from
-// the timer arming that wakes it (e.g. a fleet driver injecting an arrival)
-// is what resurfaces it. NewReferenceCluster retains the O(N) scan as the
-// differential oracle.
+// NewCluster maintains an indexed min-heap of (next-event time, engine index)
+// entries in slot = engine index, so Peek costs O(log N) instead of the
+// reference scan's O(N), and exact-time ties resolve to the lowest index,
+// matching the linear scan. Every engine state change marks the engine dirty
+// in its cluster; Peek re-keys each dirty engine's entry in place, or removes
+// it once the engine has gone quiescent, before reading the top. A quiescent
+// engine carries no entry; the dirty mark from the timer arming that wakes it
+// (e.g. a fleet driver injecting an arrival) is what resurfaces it.
+// NewReferenceCluster retains the O(N) scan as the differential oracle.
 type Cluster struct {
 	engines []*Engine
 	linear  bool // reference cluster: scan every engine per Peek
 
-	heap     ordHeap[clusterEntry]
-	dirty    []int32 // engines whose entry must be re-derived before peeking
-	isDirty  []bool
-	entryGen []uint64 // generation of engine i's live entry; 0 = none pushed
-	stale    int      // superseded entries awaiting lazy discard or sweep
+	heap    idxHeap[int32]
+	dirty   []int32 // engines whose entry must be re-derived before peeking
+	isDirty []bool
 }
 
 // NewCluster builds a heap-indexed cluster over the given engines. The slice
@@ -132,15 +96,17 @@ type Cluster struct {
 // register and are exempt).
 func NewCluster(engines ...*Engine) *Cluster {
 	c := &Cluster{
-		engines:  engines,
-		dirty:    make([]int32, 0, len(engines)),
-		isDirty:  make([]bool, len(engines)),
-		entryGen: make([]uint64, len(engines)),
+		engines: engines,
+		dirty:   make([]int32, 0, len(engines)),
+		isDirty: make([]bool, len(engines)),
 	}
-	// One live entry per engine plus slack for lazily-invalidated stale ones
-	// before the bulk sweep: sized here so steady-state stepping never grows
-	// the heap.
-	c.heap.a = make([]clusterEntry, 0, 2*len(engines))
+	// At most one entry per engine: sized here so stepping never grows the
+	// heap.
+	c.heap.a = make([]idxEntry[int32], 0, len(engines))
+	c.heap.pos = make([]int32, len(engines))
+	for i := range c.heap.pos {
+		c.heap.pos[i] = -1
+	}
 	for i, e := range engines {
 		if e.cl != nil && e.cl != c {
 			panic("sim: engine already belongs to another cluster")
@@ -166,7 +132,7 @@ func (c *Cluster) Len() int { return len(c.engines) }
 func (c *Cluster) Engine(i int) *Engine { return c.engines[i] }
 
 // markDirty queues engine i for re-derivation at the next Peek. Duplicate
-// marks between peeks collapse, so a step that bumps the generation many
+// marks between peeks collapse, so a step that changes the engine many
 // times (timer fires, thread transitions) costs one queue slot.
 func (c *Cluster) markDirty(i int32) {
 	if c.isDirty[i] {
@@ -176,32 +142,22 @@ func (c *Cluster) markDirty(i int32) {
 	c.dirty = append(c.dirty, i)
 }
 
-// refresh re-derives the next-event entries of every dirty engine.
+// refresh re-derives the next-event entries of every dirty engine: re-keyed
+// in place while the engine has a next event, removed once it is quiescent.
 func (c *Cluster) refresh() {
 	for len(c.dirty) > 0 {
 		i := c.dirty[len(c.dirty)-1]
 		c.dirty = c.dirty[:len(c.dirty)-1]
 		c.isDirty[i] = false
-		e := c.engines[i]
-		if c.entryGen[i] != 0 {
-			// The previous entry for this engine is now superseded.
-			c.stale++
+		at, alive := c.engines[i].NextEventAt()
+		switch {
+		case alive && c.heap.has(i):
+			c.heap.fix(idxEntry[int32]{key: at, tie: i, slot: i})
+		case alive:
+			c.heap.push(idxEntry[int32]{key: at, tie: i, slot: i})
+		case c.heap.has(i):
+			c.heap.remove(i)
 		}
-		if at, alive := e.NextEventAt(); alive {
-			c.heap.push(clusterEntry{at: at, idx: i, gen: e.gen})
-			c.entryGen[i] = e.gen
-		} else {
-			c.entryGen[i] = 0
-		}
-	}
-	// Sweep superseded entries in bulk once they outnumber live ones, so an
-	// engine whose next event keeps moving earlier cannot bury the heap in
-	// stale entries that never surface.
-	if c.heap.len() >= 64 && c.stale*2 > c.heap.len() {
-		c.heap.filter(func(en clusterEntry) bool {
-			return en.gen == c.engines[en.idx].gen && en.gen == c.entryGen[en.idx]
-		})
-		c.stale = 0
 	}
 }
 
@@ -223,18 +179,11 @@ func (c *Cluster) Peek() (idx int, at float64, ok bool) {
 		return idx, at, idx >= 0
 	}
 	c.refresh()
-	for c.heap.len() > 0 {
-		top := c.heap.peek()
-		if top.gen != c.engines[top.idx].gen {
-			// Superseded: a fresher entry (or none, if the engine went
-			// quiescent) was pushed by a later refresh.
-			c.heap.pop()
-			c.stale--
-			continue
-		}
-		return int(top.idx), top.at, true
+	if c.heap.len() == 0 {
+		return -1, 0, false
 	}
-	return -1, 0, false
+	top := c.heap.peek()
+	return int(top.slot), top.key, true
 }
 
 // Step advances the globally earliest engine by one event and returns its

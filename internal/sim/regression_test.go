@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -40,7 +43,7 @@ func TestFinishCreditsInFlightBlockedInterval(t *testing.T) {
 
 // Regression: the timer queue used to retain cancelled timers until popped,
 // so schedule-and-cancel loops (pacer re-arming) grew the heap without
-// bound. Lazy-cancel compaction must bound it near twice the live count.
+// bound. Cancel now removes the entry, so only the live timer remains.
 func TestCancelledTimersDoNotGrowHeap(t *testing.T) {
 	e := NewEngine(1, nil)
 	fired := 0
@@ -49,8 +52,11 @@ func TestCancelledTimersDoNotGrowHeap(t *testing.T) {
 		tm := e.After(1e12+float64(i), func() { t.Fatal("cancelled timer fired") })
 		tm.Cancel()
 	}
-	if n := e.timers.len(); n > 64 {
-		t.Fatalf("timer heap holds %d entries after 100k schedule-and-cancel cycles, want bounded", n)
+	if n := e.timers.len(); n != 1 {
+		t.Fatalf("timer heap holds %d entries after 100k schedule-and-cancel cycles, want 1", n)
+	}
+	if n := len(e.tnodes); n > 8 {
+		t.Fatalf("timer arena grew to %d nodes for 2 live timers, want recycled", n)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -88,7 +94,7 @@ func TestStaleTimerHandleCannotCancelRecycledNode(t *testing.T) {
 	}
 	fired := false
 	fresh := e.After(10, func() { fired = true }) // recycles the node
-	if fresh.n != stale.n {
+	if fresh.idx != stale.idx {
 		t.Skip("free list did not recycle the node; invariant untestable here")
 	}
 	stale.Cancel()
@@ -100,8 +106,8 @@ func TestStaleTimerHandleCannotCancelRecycledNode(t *testing.T) {
 	}
 }
 
-// Block/unblock churn orphans completion-heap entries; compaction must keep
-// the heap proportional to the live runnable set.
+// Block/unblock churn used to orphan completion-heap entries; with eager
+// removal the heap holds exactly the runnable set at every step.
 func TestOrphanedCompletionsAreCompacted(t *testing.T) {
 	e := NewEngine(4, nil)
 	th := e.NewThread("w")
@@ -116,15 +122,18 @@ func TestOrphanedCompletionsAreCompacted(t *testing.T) {
 			return
 		}
 		th.Block()
-		th.Unblock() // re-activates: pushes a fresh entry, orphaning none live
+		th.Unblock() // re-activates: removes the entry, then pushes a fresh one
+		if n := e.comp.len(); n != e.runCount {
+			t.Fatalf("completion heap holds %d entries for %d runnable threads", n, e.runCount)
+		}
 		driver.Exec(1, churn)
 	}
 	driver.Exec(1, churn)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.comp.len(); n > 64 {
-		t.Fatalf("completion heap holds %d entries after 50k block/unblock cycles, want bounded", n)
+	if n := e.comp.len(); n != 0 {
+		t.Fatalf("completion heap holds %d entries after 50k block/unblock cycles and a drain, want 0", n)
 	}
 }
 
@@ -171,4 +180,47 @@ func TestInvalidCapacityStillPanics(t *testing.T) {
 	e := NewEngine(4, func(n int) float64 { return float64(n) + 1 })
 	e.NewThread("w").Exec(100, nil)
 	e.Step()
+}
+
+// Regression: a NaN or infinite duration used to be accepted, and Run then
+// returned nil with Now() and TaskClock() both NaN. Exec, After and At now
+// reject non-finite values with a panic that names the thread or the value,
+// and the rejected call leaves the engine untouched.
+func TestNonFiniteDurationsPanic(t *testing.T) {
+	enginesUnderTest(t, func(t *testing.T, mk func() *Engine) {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			calls := []struct {
+				name, want string
+				call       func(e *Engine, th *Thread)
+			}{
+				{"Exec", `"victim"`, func(e *Engine, th *Thread) { th.Exec(v, nil) }},
+				{"After", fmt.Sprint(v), func(e *Engine, th *Thread) { e.After(v, func() {}) }},
+				{"At", fmt.Sprint(v), func(e *Engine, th *Thread) { e.At(v, func() {}) }},
+			}
+			for _, c := range calls {
+				e := mk()
+				th := e.NewThread("victim")
+				e.After(50, func() {})
+				func() {
+					defer func() {
+						r := recover()
+						if r == nil {
+							t.Fatalf("%s(%v) did not panic", c.name, v)
+						}
+						if msg := fmt.Sprint(r); !strings.Contains(msg, c.want) {
+							t.Fatalf("%s(%v) panic %q does not name %s", c.name, v, msg, c.want)
+						}
+					}()
+					c.call(e, th)
+				}()
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if e.NowF() != 50 || e.TaskClock() != 0 || th.State() != StateIdle {
+					t.Fatalf("after rejected %s(%v): now %v, task clock %v, thread %v; want 50, 0, idle",
+						c.name, v, e.NowF(), e.TaskClock(), th.State())
+				}
+			}
+		}
+	})
 }

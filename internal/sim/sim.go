@@ -62,25 +62,6 @@ const (
 // engine memoizes C(n) per runnable count.
 type CapacityFunc func(runnable int) float64
 
-// compEntry is the completion-heap entry for one runnable stint of a thread:
-// the thread completes its quantum when the engine's service credit reaches
-// finishS. Entries are orphaned (not removed) when a thread leaves the
-// runnable set early; the epoch stamp identifies them as stale when they
-// surface or when the heap compacts.
-type compEntry struct {
-	finishS float64
-	id      int32
-	epoch   uint32
-	t       *Thread
-}
-
-func (a compEntry) lessThan(b compEntry) bool {
-	if a.finishS != b.finishS {
-		return a.finishS < b.finishS
-	}
-	return a.id < b.id
-}
-
 // Engine is the discrete-event simulator. The zero value is not usable; call
 // NewEngine (or NewReferenceEngine for the naive oracle).
 type Engine struct {
@@ -92,9 +73,10 @@ type Engine struct {
 	threads  []*Thread
 	naive    bool // use the O(T)-per-event reference stepper
 
-	// Completion queue (fast stepper only).
-	comp      ordHeap[compEntry]
-	staleComp int // orphaned entries awaiting lazy discard or compaction
+	// Completion queue (fast stepper only): one entry per active thread,
+	// keyed (finishS, id) in slot id. A thread leaving the runnable set
+	// mid-quantum removes its entry at once.
+	comp idxHeap[int32]
 
 	// Runnable-set aggregates, maintained incrementally on every state
 	// transition so Step never rescans threads:
@@ -104,21 +86,18 @@ type Engine struct {
 	cpuBase   float64 // Σ materialized cpu over all threads
 
 	// Timer queue (shared by both steppers; see timer.go).
-	timers          ordHeap[timerEntry]
-	cancelledTimers int
-	freeTimer       *timerNode
-	timerSeq        int64
+	timers    idxHeap[int64]
+	tnodes    []timerNode
+	freeTimer int32 // head of the free-node list, -1 when empty
+	timerSeq  int64
 
 	events     int64
 	maxEv      int64
 	timerFires int64
 
-	// Cluster membership (see multi.go). gen counts state changes that can
-	// move the engine's next event: every processed step, thread transition,
-	// timer arming and cancellation bumps it, staling any cluster-heap entry
-	// carrying an older stamp. cl/clIdx notify the owning cluster so a
-	// quiescent engine woken by an injection resurfaces in the event heap.
-	gen   uint64
+	// Cluster membership (see multi.go): every state change that can move
+	// the engine's next event marks it dirty in its owning cluster, so the
+	// cluster re-keys (or wakes) the engine's entry at its next Peek.
 	cl    *Cluster
 	clIdx int32
 
@@ -159,11 +138,14 @@ func NewEngine(hw int, capacity CapacityFunc) *Engine {
 	// e.g. the first request a fleet driver injects into a fresh replica, or
 	// its first GC pause — must not be the ones paying slice growth on a
 	// driving hot loop.
-	e.timers.a = make([]timerEntry, 0, 8)
-	e.comp.a = make([]compEntry, 0, 32)
+	e.timers.a = make([]idxEntry[int64], 0, 8)
+	e.timers.pos = make([]int32, 0, 8)
+	e.tnodes = make([]timerNode, 0, 8)
+	e.freeTimer = -1
+	e.comp.a = make([]idxEntry[int32], 0, 32)
+	e.comp.pos = make([]int32, 0, 32)
 	e.batch = make([]*Thread, 0, 16)
 	e.rates = make([]float64, 0, 32)
-	e.releaseTimer(e.newTimerBlock())
 	if e.capacity == nil {
 		e.capacity = func(n int) float64 {
 			if n > hw {
@@ -257,11 +239,9 @@ func (e *Engine) TaskClock() float64 {
 const timeEps = 1e-6 // tolerance for float time comparisons, in ns
 
 // mutated records a state change that may have moved the engine's next event:
-// the generation counter stales any cluster-heap entry stamped before it, and
 // the owning cluster (if any) is told to re-derive this engine's entry on its
-// next Peek. Standalone engines pay one increment and one nil check.
+// next Peek. Standalone engines pay one nil check.
 func (e *Engine) mutated() {
-	e.gen++
 	if e.cl != nil {
 		e.cl.markDirty(e.clIdx)
 	}
@@ -294,13 +274,14 @@ func (e *Engine) activate(t *Thread) {
 	t.finishS = e.vs + t.remaining
 	e.runCount++
 	e.sumStartS += t.startS
-	e.comp.push(compEntry{finishS: t.finishS, id: t.id, epoch: t.epoch, t: t})
+	e.comp.push(idxEntry[int32]{key: t.finishS, tie: t.id, slot: t.id})
 }
 
 // deactivate removes a thread from the runnable set, materializing the CPU
 // it consumed during this stint from the service-credit delta. The caller
 // decides what becomes of t.remaining (zero on completion/abandon, the
-// residual finishS−S on block) and whether a heap entry was orphaned.
+// residual finishS−S on block); its heap entry is already gone, popped on
+// completion or removed by releaseQuantum.
 func (e *Engine) deactivate(t *Thread) {
 	delta := e.vs - t.startS
 	if delta < 0 {
@@ -316,20 +297,6 @@ func (e *Engine) deactivate(t *Thread) {
 		e.sumStartS = 0
 	}
 	t.active = false
-	t.epoch++
-}
-
-// orphanEntry records that a deactivated thread left its completion-heap
-// entry behind (Block/Abandon/Finish mid-quantum) and compacts the heap once
-// stale entries outnumber live ones, so block-heavy workloads cannot grow it
-// without bound.
-func (e *Engine) orphanEntry() {
-	e.staleComp++
-	if e.comp.len() < 64 || e.staleComp*2 <= e.comp.len() {
-		return
-	}
-	e.comp.filter(func(en compEntry) bool { return en.epoch == en.t.epoch })
-	e.staleComp = 0
 }
 
 // Step advances the simulation to the next event (quantum completion or timer
@@ -359,22 +326,9 @@ func (e *Engine) Step() bool {
 
 	rate := e.rateFor(e.runCount)
 
-	// Earliest quantum completion: the top of the heap, once stale entries
-	// are discarded, completes when S reaches its credit.
-	dt := math.Inf(1)
-	for e.comp.len() > 0 {
-		top := e.comp.peek()
-		if top.epoch != top.t.epoch {
-			e.comp.pop()
-			e.staleComp--
-			continue
-		}
-		dt = (top.finishS - e.vs) / rate
-		break
-	}
-	if math.IsInf(dt, 1) {
-		panic("sim: runnable threads without completion entries")
-	}
+	// Earliest quantum completion: the top of the heap completes when S
+	// reaches its credit.
+	dt := (e.comp.peek().key - e.vs) / rate
 	// Earliest timer.
 	if at, ok := e.nextTimerAt(); ok {
 		if d := at - e.now; d < dt {
@@ -393,22 +347,14 @@ func (e *Engine) Step() bool {
 		e.crossSamples()
 	}
 
-	// Collect quantum completions: every live entry whose credit is reached.
+	// Collect quantum completions: every entry whose credit is reached, in
+	// (finishS, id) order, which fixes how cpuBase and sumStartS round.
 	e.batch = e.batch[:0]
-	for e.comp.len() > 0 {
-		top := e.comp.peek()
-		if top.epoch != top.t.epoch {
-			e.comp.pop()
-			e.staleComp--
-			continue
-		}
-		if top.finishS > e.vs+timeEps {
-			break
-		}
-		e.comp.pop()
-		e.deactivate(top.t)
-		top.t.remaining = 0
-		e.batch = append(e.batch, top.t)
+	for e.comp.len() > 0 && e.comp.peek().key <= e.vs+timeEps {
+		t := e.threads[e.comp.pop().slot]
+		e.deactivate(t)
+		t.remaining = 0
+		e.batch = append(e.batch, t)
 	}
 	// Dispatch in thread-creation order, matching the reference stepper
 	// (heap order breaks credit ties by id but interleaves distinct credits

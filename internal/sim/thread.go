@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // State describes what a thread is doing.
 type State uint8
@@ -37,8 +40,7 @@ func (s State) String() string {
 // the thread leaves the runnable set or an accessor is called. The reference
 // stepper keeps both fields eagerly up to date and never sets active.
 type Thread struct {
-	id         int32
-	epoch      uint32 // bumped when leaving the runnable set; stales heap entries
+	id         int32 // creation index; the thread's completion-heap slot
 	state      State
 	active     bool // fast stepper: quantum in flight, counted in aggregates
 	name       string
@@ -95,9 +97,12 @@ func (t *Thread) SetKernelFraction(f float64) {
 }
 
 // Exec schedules the thread to consume cpuNS nanoseconds of CPU and then call
-// done. The thread must be idle. Quanta shorter than 1ns are rounded up so a
-// zero-cost callback chain cannot stall the clock.
+// done. The thread must be idle and cpuNS finite. Quanta shorter than 1ns are
+// rounded up so a zero-cost callback chain cannot stall the clock.
 func (t *Thread) Exec(cpuNS float64, done func()) {
+	if math.IsNaN(cpuNS) || math.IsInf(cpuNS, 0) {
+		panic(fmt.Sprintf("sim: Exec(%v) on thread %q: duration must be finite", cpuNS, t.name))
+	}
 	if t.state != StateIdle {
 		panic(fmt.Sprintf("sim: Exec on %s thread %q", t.state, t.name))
 	}
@@ -115,20 +120,20 @@ func (t *Thread) Exec(cpuNS float64, done func()) {
 
 // releaseQuantum takes an active thread out of the runnable set mid-quantum:
 // consumed CPU is materialized, the residual work is captured in remaining,
-// and the completion-heap entry is orphaned for lazy discard. A no-op for
-// inactive threads (reference stepper, or a quantum whose completion has
-// already been collected this event).
+// and the completion-heap entry is removed. A no-op for inactive threads
+// (reference stepper, or a quantum whose completion has already been
+// collected this event).
 func (t *Thread) releaseQuantum() {
 	if !t.active {
 		return
 	}
 	e := t.eng
+	e.comp.remove(t.id)
 	e.deactivate(t)
 	t.remaining = t.finishS - e.vs
 	if t.remaining < 0 {
 		t.remaining = 0
 	}
-	e.orphanEntry()
 }
 
 // Block suspends a runnable thread mid-quantum, preserving its remaining

@@ -1,67 +1,55 @@
 package sim
 
+import (
+	"fmt"
+	"math"
+)
+
 // Timer subsystem.
 //
-// Timers live in an ordHeap of small value entries ordered by (deadline,
-// sequence), so same-instant timers fire in creation order. Cancellation is
-// lazy: Cancel only marks the timer's node; the heap entry stays put and is
-// discarded when it surfaces, or swept out in bulk once cancelled entries
-// outnumber live ones — a workload that repeatedly schedules-and-cancels
-// (e.g. a pacer re-arming its deadline) therefore cannot grow the heap
-// without bound. Fired and cancelled nodes are recycled through a free list,
-// so steady-state timer traffic does not churn the Go allocator. Node reuse
-// is made safe by sequence stamping: a Timer handle captures the sequence it
-// was armed with, and Cancel on a handle whose node has since been recycled
-// is a no-op.
+// Timers live in an engine-owned arena of nodes addressed by index, and the
+// queue is an idxHeap keyed (deadline, sequence) in slot = node index, so
+// same-instant timers fire in creation order. Cancel removes the entry at
+// once, so the heap holds exactly the armed timers. Fired and cancelled
+// nodes go back on a free list of indices, so steady-state timer traffic
+// does not churn the Go allocator. Node reuse is made safe by sequence
+// stamping: a Timer handle captures the sequence it was armed with, and
+// Cancel on a handle whose node has since been recycled is a no-op.
 
-// timerNode is the engine-owned state of one scheduled callback. Nodes are
-// recycled through the engine's free list once they fire, are swept, or are
-// discarded from the top of the heap.
+// timerNode is the engine-owned state of one scheduled callback.
 type timerNode struct {
-	fn        func()
-	seq       int64 // sequence of the current arming; 0 = on the free list
-	cancelled bool
-	next      *timerNode // free-list link
-}
-
-// timerEntry is the heap entry for one arming of a timer.
-type timerEntry struct {
-	at  float64
-	seq int64
-	n   *timerNode
-}
-
-func (a timerEntry) lessThan(b timerEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	fn   func()
+	seq  int64 // sequence of the current arming; 0 = on the free list
+	next int32 // free-list link, -1 at the end
 }
 
 // Timer is a handle to a scheduled callback. It is a value: copying it is
-// cheap and safe, and a handle outliving its timer (fired, cancelled, or
-// swept) is inert.
+// cheap and safe, and a handle outliving its timer (fired or cancelled) is
+// inert.
 type Timer struct {
 	e   *Engine
-	n   *timerNode
+	idx int32
 	seq int64
 }
 
 // Cancel prevents the timer from firing. Cancelling an already-fired or
 // already-cancelled timer is a no-op.
 func (tm Timer) Cancel() {
-	if tm.n == nil || tm.n.seq != tm.seq || tm.n.cancelled {
+	e := tm.e
+	if e == nil || e.tnodes[tm.idx].seq != tm.seq {
 		return
 	}
-	tm.n.cancelled = true
-	tm.e.cancelledTimers++
-	tm.e.maybeCompactTimers()
-	tm.e.mutated()
+	e.timers.remove(tm.idx)
+	e.releaseTimer(tm.idx)
+	e.mutated()
 }
 
-// After schedules fn to run at now+d. It returns a handle that can cancel
-// the timer before it fires.
+// After schedules fn to run at now+d; d must not be NaN or infinite. It
+// returns a handle that can cancel the timer before it fires.
 func (e *Engine) After(d float64, fn func()) Timer {
+	if math.IsNaN(d) || math.IsInf(d, 0) {
+		panic(fmt.Sprintf("sim: After(%v): delay must be finite", d))
+	}
 	if d < 0 {
 		d = 0
 	}
@@ -69,11 +57,14 @@ func (e *Engine) After(d float64, fn func()) Timer {
 }
 
 // At schedules fn at the absolute virtual time t (a t already in the past
-// fires at now). Unlike After(t-NowF()), the deadline is stored exactly as
-// given — no relative round-trip through floating point — so a caller can
-// reproduce a precomputed schedule bit-for-bit while arming timers one at a
-// time.
+// fires at now); t must not be NaN or infinite. Unlike After(t-NowF()), the
+// deadline is stored exactly as given — no relative round-trip through
+// floating point — so a caller can reproduce a precomputed schedule
+// bit-for-bit while arming timers one at a time.
 func (e *Engine) At(t float64, fn func()) Timer {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		panic(fmt.Sprintf("sim: At(%v): deadline must be finite", t))
+	}
 	if t < e.now {
 		t = e.now
 	}
@@ -84,97 +75,44 @@ func (e *Engine) schedule(at float64, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil timer callback")
 	}
-	n := e.freeTimer
-	if n != nil {
-		e.freeTimer = n.next
-		n.next = nil
+	idx := e.freeTimer
+	if idx >= 0 {
+		e.freeTimer = e.tnodes[idx].next
 	} else {
-		n = e.newTimerBlock()
+		idx = int32(len(e.tnodes))
+		e.tnodes = append(e.tnodes, timerNode{})
 	}
 	e.timerSeq++
-	n.fn = fn
-	n.seq = e.timerSeq
-	n.cancelled = false
-	e.timers.push(timerEntry{at: at, seq: e.timerSeq, n: n})
+	e.tnodes[idx] = timerNode{fn: fn, seq: e.timerSeq, next: -1}
+	e.timers.push(idxEntry[int64]{key: at, tie: e.timerSeq, slot: idx})
 	e.mutated()
-	return Timer{e: e, n: n, seq: e.timerSeq}
-}
-
-// newTimerBlock grows the free list by one block of nodes and returns the
-// first. Block allocation keeps nodes cache-adjacent and makes free-list
-// growth one allocation per eight timers instead of one each — NewEngine
-// seeds one block so a typical engine never grows it on the stepping path.
-func (e *Engine) newTimerBlock() *timerNode {
-	block := make([]timerNode, 8)
-	for i := 1; i < len(block); i++ {
-		block[i].next = e.freeTimer
-		e.freeTimer = &block[i]
-	}
-	return &block[0]
+	return Timer{e: e, idx: idx, seq: e.timerSeq}
 }
 
 // releaseTimer returns a node to the free list. seq 0 marks it free, so any
 // surviving handle's Cancel fails the sequence check and does nothing.
-func (e *Engine) releaseTimer(n *timerNode) {
-	n.fn = nil
-	n.seq = 0
-	n.cancelled = false
-	n.next = e.freeTimer
-	e.freeTimer = n
+func (e *Engine) releaseTimer(idx int32) {
+	e.tnodes[idx] = timerNode{next: e.freeTimer}
+	e.freeTimer = idx
 }
 
-// nextTimerAt returns the deadline of the earliest live timer, discarding
-// cancelled entries that have surfaced at the top of the heap.
+// nextTimerAt returns the deadline of the earliest armed timer.
 func (e *Engine) nextTimerAt() (float64, bool) {
-	for e.timers.len() > 0 {
-		top := e.timers.peek()
-		if top.n.cancelled {
-			e.timers.pop()
-			e.cancelledTimers--
-			e.releaseTimer(top.n)
-			continue
-		}
-		return top.at, true
+	if e.timers.len() == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.timers.peek().key, true
 }
 
-// fireTimers dispatches every live timer due at or before now, in (time,
+// fireTimers dispatches every timer due at or before now, in (time,
 // creation) order. Callbacks may schedule further timers; those are honoured
 // too if already due.
 func (e *Engine) fireTimers() {
-	for e.timers.len() > 0 {
-		top := e.timers.peek()
-		if top.n.cancelled {
-			e.timers.pop()
-			e.cancelledTimers--
-			e.releaseTimer(top.n)
-			continue
-		}
-		if top.at > e.now+timeEps {
-			return
-		}
-		e.timers.pop()
-		fn := top.n.fn
-		e.releaseTimer(top.n)
+	for e.timers.len() > 0 && e.timers.peek().key <= e.now+timeEps {
+		idx := e.timers.pop().slot
+		fn := e.tnodes[idx].fn
+		e.releaseTimer(idx)
 		e.timerFires++
 		fn()
 	}
-}
-
-// maybeCompactTimers sweeps cancelled entries out of the heap once they
-// outnumber live ones. The threshold keeps the sweep amortized O(1) per
-// cancellation while bounding the heap at twice its live size.
-func (e *Engine) maybeCompactTimers() {
-	if e.timers.len() < 32 || e.cancelledTimers*2 <= e.timers.len() {
-		return
-	}
-	e.timers.filter(func(en timerEntry) bool {
-		if en.n.cancelled {
-			e.releaseTimer(en.n)
-			return false
-		}
-		return true
-	})
-	e.cancelledTimers = 0
 }
