@@ -36,20 +36,27 @@ test:
 # to a stable ns/op instead of one cold N=1 sample (a single ~30ms sweep op
 # varies ~30% run to run; 300ms amortizes it), while the minutes-scale
 # FullSuite stays at -benchtime=1x and FleetScale at 3 fleet runs per sample.
+# BenchmarkJSONL (internal/obs) prices the telemetry codec on a fixed fleet
+# stream; its record sub-benchmark is held at 0 allocs/op.
 # Each benchmark runs five times and benchjson records the per-metric median,
 # so the committed BENCH_sim.json baseline is median-of-five — directly
 # comparable to the median-of-five gate runs and robust to scheduler noise on
-# loaded hosts. bench and bench-gate run this one command list.
+# loaded hosts. bench and bench-gate run this one command list, and
+# bench-scaling its FullSuite line.
+FULLSUITE_CMD = go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x \
+	-count=5 .
 BENCH_CMDS = ( go test -run='^$$' -bench='BenchmarkEngine' -benchmem \
 		-benchtime=300ms -count=5 ./internal/sim && \
 	go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
-	go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
+	$(FULLSUITE_CMD) && \
 	go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
 		./internal/fleet && \
 	go test -run='^$$' -bench='BenchmarkFleetScale' -benchtime=3x -count=5 \
 		./internal/fleet && \
 	go test -run='^$$' -bench='BenchmarkFleetTelemetry' -benchtime=200ms \
-		-count=5 ./internal/fleet )
+		-count=5 ./internal/fleet && \
+	go test -run='^$$' -bench='BenchmarkJSONL' -benchmem -benchtime=300ms \
+		-count=5 ./internal/obs )
 
 .PHONY: bench
 bench:
@@ -75,8 +82,7 @@ bench-gate:
 # demands only not-regressing (it cannot speed up).
 .PHONY: bench-scaling
 bench-scaling:
-	go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . \
-		| go run ./cmd/benchjson -out /dev/null -scaling-min auto
+	$(FULLSUITE_CMD) | go run ./cmd/benchjson -out /dev/null -scaling-min auto
 
 # CPU and heap profiles for the invocation hot path; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -18,7 +17,7 @@ import (
 type JSONL struct {
 	mu   sync.Mutex
 	bw   *bufio.Writer
-	enc  *json.Encoder
+	buf  []byte       // one encoded line, reused across events
 	sync func() error // underlying writer's Sync, when it has one
 	err  error        // first write error; subsequent records are dropped
 	seen int64
@@ -30,7 +29,7 @@ type JSONL struct {
 // stream survives a host crash immediately after the run.
 func NewJSONL(w io.Writer) *JSONL {
 	bw := bufio.NewWriterSize(w, 64<<10)
-	j := &JSONL{bw: bw, enc: json.NewEncoder(bw)}
+	j := &JSONL{bw: bw}
 	if s, ok := w.(interface{ Sync() error }); ok {
 		j.sync = s.Sync
 	}
@@ -56,7 +55,12 @@ func (j *JSONL) record(e Event) {
 		return
 	}
 	e.Seq = j.seen + 1
-	if err := j.enc.Encode(e); err != nil {
+	b, err := appendEvent(j.buf[:0], &e)
+	if err == nil {
+		j.buf = b
+		_, err = j.bw.Write(b)
+	}
+	if err != nil {
 		j.err = fmt.Errorf("obs: writing event: %w", err)
 		return
 	}
@@ -103,21 +107,42 @@ func (j *JSONL) Close() error {
 	return j.err
 }
 
-// DecodeJSONL reads a JSONL event stream, calling fn for each event. Blank
-// lines are skipped; a malformed line aborts with its line number, since a
-// telemetry file is machine-written and corruption means truncation.
+// DecodeJSONL reads a JSONL event stream, calling fn for each event. Each
+// line decodes as json.Unmarshal would decode it into a fresh Event; lines
+// holding only whitespace are skipped. A malformed line aborts with its
+// 1-based line number, since a telemetry file is machine-written and
+// corruption means truncation. Lines may be of any length.
 func DecodeJSONL(r io.Reader, fn func(Event) error) error {
-	dec := json.NewDecoder(r)
+	br := bufio.NewReaderSize(r, 64<<10)
+	d := lineDecoder{strs: make(map[string]string)}
+	var long []byte // a line longer than br's buffer, reassembled
 	for n := 1; ; n++ {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return nil
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
 			}
-			return fmt.Errorf("obs: event %d: %w", n, err)
+			line = long
 		}
-		if err := fn(e); err != nil {
-			return err
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("obs: reading line %d: %w", n, err)
+		}
+		if end := len(line) - 1; end >= 0 && line[end] == '\n' {
+			line = line[:end]
+		}
+		if skipSpace(line, 0) < len(line) {
+			e, derr := d.decode(line)
+			if derr != nil {
+				return fmt.Errorf("obs: line %d: %w", n, derr)
+			}
+			if ferr := fn(e); ferr != nil {
+				return ferr
+			}
+		}
+		if err == io.EOF {
+			return nil
 		}
 	}
 }

@@ -167,14 +167,30 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// kindByName inverts kindNames.
+var kindByName = func() map[string]Kind {
+	m := make(map[string]Kind, len(kindNames))
+	for k, name := range kindNames {
+		m[name] = Kind(k)
+	}
+	return m
+}()
+
 // ParseKind resolves a kind name as written to JSONL streams.
 func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k), nil
-		}
+	if k, ok := kindByName[s]; ok {
+		return k, nil
 	}
 	return 0, fmt.Errorf("obs: unknown event kind %q", s)
+}
+
+// lookupKind resolves a kind name leniently, as UnmarshalText does, without
+// copying b.
+func lookupKind(b []byte) Kind {
+	if k, ok := kindByName[string(b)]; ok {
+		return k
+	}
+	return KindUnknown
 }
 
 // MarshalText renders the kind by name, so JSONL streams are self-describing.
@@ -185,12 +201,7 @@ func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 // as KindUnknown instead of failing, so old readers skip new event kinds
 // rather than rejecting the whole stream (DecodeStream counts them).
 func (k *Kind) UnmarshalText(b []byte) error {
-	kk, err := ParseKind(string(b))
-	if err != nil {
-		*k = KindUnknown
-		return nil
-	}
-	*k = kk
+	*k = lookupKind(b)
 	return nil
 }
 
