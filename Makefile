@@ -16,6 +16,9 @@ tier1-race:
 		-telemetry fleet-smoke.jsonl -trace-out fleet-smoke.trace.json \
 		-timeline > /dev/null
 	go run ./cmd/obsreport -fleet fleet-smoke.jsonl > /dev/null
+	go run ./cmd/lbo -bench fop -collectors G1,Serial -factors 1.5,2 \
+		-invocations 1 -iterations 1 -events 120 -workers 2 -cache none \
+		> /dev/null
 	go run ./cmd/fleet -bench micro-pauseprobe -replicas 256 -lb gc-aware \
 		-events 60 -trace-out fleet-smoke-256.trace.json > /dev/null
 	rm -f fleet-smoke.jsonl fleet-smoke.trace.json fleet-smoke-256.trace.json

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -204,22 +205,29 @@ func main() {
 // resolveHeap parses "<mb>" or "<factor>x"; factors are multiples of the
 // measured minimum heap per Recommendation H2.
 func resolveHeap(d *workload.Descriptor, spec string, opt harness.Options) (float64, error) {
-	if strings.HasSuffix(spec, "x") {
-		f, err := strconv.ParseFloat(strings.TrimSuffix(spec, "x"), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad heap factor %q", spec)
-		}
-		min, err := harness.MinHeapMB(d, opt)
-		if err != nil {
-			return 0, err
-		}
-		return min * f, nil
+	v, factor, err := parseHeapSpec(spec)
+	if err != nil || !factor {
+		return v, err
 	}
-	mb, err := strconv.ParseFloat(spec, 64)
+	min, err := harness.MinHeapMB(d, opt)
 	if err != nil {
-		return 0, fmt.Errorf("bad heap size %q (want '<mb>' or '<factor>x')", spec)
+		return 0, err
 	}
-	return mb, nil
+	return min * v, nil
+}
+
+// parseHeapSpec parses "<mb>" or "<factor>x" into a finite, positive value,
+// reporting whether it is a factor.
+func parseHeapSpec(spec string) (v float64, factor bool, err error) {
+	num, factor := strings.CutSuffix(spec, "x")
+	v, err = strconv.ParseFloat(num, 64)
+	if err != nil || !(v > 0) || math.IsInf(v, 1) {
+		if factor {
+			return 0, true, fmt.Errorf("bad heap factor %q", spec)
+		}
+		return 0, false, fmt.Errorf("bad heap size %q (want '<mb>' or '<factor>x')", spec)
+	}
+	return v, factor, nil
 }
 
 func parseCompiler(s string) (jit.Config, error) {

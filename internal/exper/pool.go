@@ -14,7 +14,7 @@ import (
 type lane int
 
 const (
-	// laneAnchor is the critical path: min-heap ladder probes and
+	// laneAnchor is the critical path: min-heap search probes and
 	// validation invocations, whose latency bounds the whole plan.
 	laneAnchor lane = iota
 	// laneGrid is bulk backlog: sweep and latency cells that only gate
@@ -108,7 +108,7 @@ func newPool(workers int) *pool {
 // pool accepted it. It returns false — instead of panicking, which is what
 // the pre-refactor pool did and what a Close racing a straggling sweep
 // would hit — once the pool has been closed; the caller then runs the task
-// inline (or cancels it, for speculative probes). The shard's closed flag
+// inline (or cancels it, for min-heap probes). The shard's closed flag
 // is set under the same lock that guards its deque, so a task accepted here
 // is always still visible to the draining workers.
 func (p *pool) submit(task func(), ln lane) bool {
@@ -289,7 +289,7 @@ func (p *pool) workerStats() []WorkerStat {
 // close stops the workers once the deques drain. Tasks already accepted
 // still run; submissions that lose the race to close are refused (submit
 // returns false) and execute inline at the caller — or resolve as cancelled
-// when the submitter marked them speculative.
+// when the submitter marked them cancellable (min-heap probes).
 func (p *pool) close() {
 	for i := range p.deques {
 		dq := &p.deques[i]

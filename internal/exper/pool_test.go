@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,5 +92,51 @@ func TestPoolParkedWorkersWake(t *testing.T) {
 	p.close()
 	if got := ran.Load(); got != 20*16 {
 		t.Fatalf("%d tasks ran, want %d", got, 20*16)
+	}
+}
+
+// TestPoolAnchorLanePreemptsGrid pins the lane priority the min-heap search
+// depends on: with both lanes populated, a worker drains its anchor lane
+// before touching grid work, so a probe is never stuck behind another
+// benchmark's backlog of grid cells.
+func TestPoolAnchorLanePreemptsGrid(t *testing.T) {
+	p := newPool(1)
+	defer p.close()
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var mu sync.Mutex
+	var order []string
+	var wg sync.WaitGroup
+
+	p.submit(func() {
+		close(started)
+		<-release
+	}, laneGrid)
+	<-started // the single worker is now occupied; later submits queue up
+
+	for i := 0; i < 3; i++ {
+		i := i
+		wg.Add(1)
+		p.submit(func() {
+			mu.Lock()
+			order = append(order, fmt.Sprintf("grid%d", i))
+			mu.Unlock()
+			wg.Done()
+		}, laneGrid)
+	}
+	wg.Add(1)
+	p.submit(func() {
+		mu.Lock()
+		order = append(order, "anchor")
+		mu.Unlock()
+		wg.Done()
+	}, laneAnchor)
+
+	close(release)
+	wg.Wait()
+
+	if len(order) != 4 || order[0] != "anchor" {
+		t.Fatalf("execution order %v, want the anchor task first", order)
 	}
 }

@@ -144,6 +144,18 @@ func TestOOMBelowMinimumHeap(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidHeap: a heap size must be finite and positive. NaN
+// used to slip past a `<= 0` check and ±Inf past nothing, and the run then
+// simulated seconds of work on a meaningless heap.
+func TestRunRejectsInvalidHeap(t *testing.T) {
+	for _, heapMB := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Run(Fop, RunConfig{HeapMB: heapMB, Collector: gc.G1, Iterations: 1, Events: 50, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "MB invalid") {
+			t.Errorf("heap %vMB: err = %v, want an invalid-heap error", heapMB, err)
+		}
+	}
+}
+
 func TestZGCNeedsMoreHeapThanSerial(t *testing.T) {
 	// At exactly the compressed-oops minimum heap, Serial completes but
 	// ZGC's uncompressed footprint cannot (paper: ZGC is absent from 1x
